@@ -21,9 +21,9 @@ from .documents import (
     ALGEBRA_SCHEMA, EXTENSION_SCHEMA,
 )
 from .doubleext import (
-    ConditionFailure, build_model, check_conditions, extract_standard,
-    quadruple_from_ideal, tau_equivalence_map, tau_transform, TauMap,
-    verify_equivalence,
+    ConditionFailure, DegenerateBaseError, build_model, check_conditions,
+    extract_standard, quadruple_from_ideal, tau_equivalence_map, tau_transform,
+    TauMap, verify_equivalence,
 )
 from .expressions import ExpressionError, parse_tau_map
 from .reports import Report
@@ -148,12 +148,8 @@ def cmd_validate(args, out: _Output) -> int:
 
 def cmd_extend(args, out: _Output) -> int:
     loaded = _load_extension(args.file)
-    cond = check_conditions(loaded.data)
-    out.report(cond, "conditions")
-    if not cond.ok:
-        out.text("conditions failed; not building")
-        return EXIT_MATH
     model = build_model(loaded.data)
+    out.report(model.conditions, "conditions")
     rows = _print_table(out, model)
     out.emit(table=rows)
     if loaded.reference:
@@ -283,12 +279,9 @@ def cmd_tau(args, out: _Output) -> int:
         out.emit(error=str(exc))
         return EXIT_PRECONDITION
     transformed = tau_transform(data, tau)
-    cond = check_conditions(transformed)
-    out.report(cond, "conditions")
-    if not cond.ok:
-        return EXIT_MATH
-    model1 = build_model(data)
     model2 = build_model(transformed)
+    out.report(model2.conditions, "conditions")
+    model1 = build_model(data)
     phi = tau_equivalence_map(model1, model2, tau)
     equiv = verify_equivalence(model1, model2, phi)
     out.report(equiv, "equivalence")
@@ -400,6 +393,10 @@ def main(argv: list[str] | None = None) -> int:
         out.report(exc.report, "conditions")
         out.emit(error=str(exc), ok=False)
         return out.finish(EXIT_MATH)
+    except DegenerateBaseError as exc:
+        out.text(f"error: {exc}")
+        out.emit(error=str(exc), ok=False)
+        return out.finish(EXIT_PRECONDITION)
     return out.finish(code)
 
 

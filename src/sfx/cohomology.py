@@ -46,7 +46,7 @@ from .superlinalg import (
 )
 
 __all__ = [
-    "MAX_DEGREE", "Cochain", "EquivariantPairing", "HomSpace",
+    "MAX_DEGREE", "Cochain", "EquivariantPairing", "CommutatorPairing", "HomSpace",
     "d_ce", "d_xi", "wedge", "ev_pairing", "commutator_pairing",
 ]
 
@@ -263,7 +263,8 @@ class EquivariantPairing:
         return out
 
 
-def wedge(pairing: EquivariantPairing, alpha: Cochain, beta: Cochain) -> Cochain:
+def wedge(pairing: EquivariantPairing | CommutatorPairing, alpha: Cochain,
+          beta: Cochain) -> Cochain:
     """Super-shuffle wedge of an n- and a k-cochain against a pairing."""
     if alpha.algebra is not beta.algebra and alpha.algebra != beta.algebra:
         raise ValueError("wedge factors must live on one algebra")
@@ -343,25 +344,48 @@ def ev_pairing(hom: HomSpace) -> EquivariantPairing:
     return EquivariantPairing(hom.space, hom.src, hom.tgt, tuple(table))
 
 
-def commutator_pairing(end: HomSpace) -> EquivariantPairing:
-    """Super-commutator m(f,g) = f.g - (-1)^{|f||g|} g.f on End(a).
+@dataclass(frozen=True)
+class CommutatorPairing:
+    """Super-commutator m(f,g) = f.g - (-1)^{|f||g|} g.f on End(a), on demand.
+
+    ``value`` unflattens both arguments, splits each into its even and odd
+    parts and sums the commutators of the four parity pairs, so a
+    non-homogeneous argument gets the bilinear extension of the
+    homogeneous rule.  One value costs a few n x n products; no table over
+    the (dim End(a))^2 basis pairs is built.
+    """
+
+    end: HomSpace
+
+    @property
+    def u(self) -> SuperSpace:
+        """Both arguments and the value live in End(a)."""
+        return self.end.space
+
+    v = w = u
+    parity = 0   # the super-commutator is even
+
+    def _parts(self, vec: Sequence[Fraction]) -> list[tuple[int, GradedLinearMap]]:
+        space = self.end.space
+        return [(p, self.end.unflatten(part)) for p in (0, 1)
+                if not vec_is_zero(part := space.parity_projection(vec, p))]
+
+    def value(self, uvec: Sequence[Fraction], vvec: Sequence[Fraction]) -> Vector:
+        out = GradedLinearMap.zero(self.end.src, self.end.tgt)
+        for p, f in self._parts(uvec):
+            for q, g in self._parts(vvec):
+                fg = g.then(f)   # f o g
+                gf = f.then(g)   # g o f
+                out = out.add(fg.sub(gf.scale(Fraction(_sign(p * q)))))
+        return self.end.flatten(out)
+
+
+def commutator_pairing(end: HomSpace) -> CommutatorPairing:
+    """The super-commutator on End(a) as a pairing for :func:`wedge`.
 
     The 1/2 factor conventionally written in front of [xi^xi] compensates
     the shuffle double-count; callers apply it themselves.
     """
     if end.src != end.tgt:
         raise ValueError("commutator pairing needs endomorphisms")
-    dim = end.space.dim
-    ops = [end.unflatten(tuple(Fraction(1 if t == i else 0) for t in range(dim)))
-           for i in range(dim)]
-    pars = end.space.parities
-    table = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            fg = ops[j].then(ops[i])   # f o g
-            gf = ops[i].then(ops[j])   # g o f
-            comm = fg.sub(gf.scale(Fraction(_sign(pars[i] * pars[j]))))
-            row.append(end.flatten(comm))
-        table.append(tuple(row))
-    return EquivariantPairing(end.space, end.space, end.space, tuple(table))
+    return CommutatorPairing(end)

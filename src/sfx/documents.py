@@ -163,11 +163,14 @@ def load_algebra_document(doc: dict, where: str = "<algebra>") -> LoadedAlgebra:
             raw = fdoc["gram"]
             try:
                 gram = tuple(tuple(Fraction(str(x)) for x in row) for row in raw)
-            except (ValueError, TypeError):
+            except (ValueError, TypeError, ZeroDivisionError):
                 raise DocumentError(f"{where}: bad Gram matrix entries")
         else:
             raise DocumentError(f"{where}: form needs 'wedge' or 'gram'")
-        form = SuperForm(space, gram, parity)
+        try:
+            form = SuperForm(space, gram, parity)
+        except ValueError as exc:
+            raise DocumentError(f"{where}: {exc}") from None
 
     return LoadedAlgebra(algebra, form, algebra_to_document(
         algebra, form, name=doc.get("name"), metadata=doc.get("metadata")),
@@ -288,8 +291,11 @@ def load_extension_document(doc: dict, where: str = "<extension>",
     ref = doc.get("reference")
     if isinstance(ref, dict):
         for entry in ref.get("table", []):
-            reference.append(ReferenceLine(str(entry["left"]), str(entry["right"]),
-                                           str(entry["value"])))
+            try:
+                reference.append(ReferenceLine(str(entry["left"]), str(entry["right"]),
+                                               str(entry["value"])))
+            except (TypeError, KeyError):
+                raise DocumentError(f"{where}: reference entries need left/right/value")
         notes = [str(x) for x in ref.get("notes", [])]
 
     normalized = extension_to_document(

@@ -31,7 +31,7 @@ exercised end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -50,8 +50,8 @@ from .symplectic import QuasiFrobenius, ReduceResult, SuperForm
 
 __all__ = [
     "ExtensionData", "StandardModel", "ExtensionQuadruple", "TauMap",
-    "ConditionFailure", "derive_beta", "derive_alpha", "check_conditions",
-    "build_orthosymplectic", "build_periplectic", "build_model",
+    "ConditionFailure", "DegenerateBaseError", "derive_beta", "derive_alpha",
+    "check_conditions", "build_orthosymplectic", "build_periplectic", "build_model",
     "canonical_quadruple", "quadruple_from_ideal", "extract_standard",
     "ExtractResult", "tau_transform", "tau_equivalence_map",
     "verify_equivalence", "CONDITION_NAMES",
@@ -83,6 +83,10 @@ class ConditionFailure(ValueError):
         self.report = report
         failed = [c.name for c in report.checks if not c.ok]
         super().__init__(f"extension conditions failed: {', '.join(failed)}")
+
+
+class DegenerateBaseError(ValueError):
+    """Raised when extension data sits over a degenerate base form."""
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +201,13 @@ def derive_alpha(ext: ExtensionData) -> tuple[tuple[Vector, ...], ...]:
     """alpha[i][j] in base coordinates, solved from gamma through the form.
 
     For each pair (L_i, L_j) the linear system w(e_k, alpha) = rhs(e_k) has
-    a unique solution by non-degeneracy; an inconsistency here would be an
-    internal error, not bad data.
+    a unique solution by non-degeneracy, which is checked first; an
+    inconsistency after that would be an internal error, not bad data.
     """
     base = ext.base
+    if not base.form.is_nondegenerate():
+        raise DegenerateBaseError(
+            "the base form is degenerate; extension data needs a quasi-Frobenius base")
     apar = base.space.parities
     lpar = ext.ell.parities
     n, m = base.space.dim, ext.ell.dim
@@ -382,13 +389,18 @@ def check_conditions(ext: ExtensionData) -> Report:
 
 @dataclass(frozen=True)
 class StandardModel:
-    """A built double extension with its three block subspaces marked."""
+    """A built double extension with its three block subspaces marked.
+
+    ``conditions`` is the condition report the build checked, None for a
+    forced build.
+    """
 
     qf: QuasiFrobenius
     z_labels: tuple[str, ...]
     a_labels: tuple[str, ...]
     l_labels: tuple[str, ...]
     ext: ExtensionData
+    conditions: Report | None = field(default=None, compare=False, repr=False)
 
     @property
     def space(self) -> SuperSpace:
@@ -425,7 +437,8 @@ class StandardModel:
 
 
 def _assemble(ext: ExtensionData, z_labels: Sequence[str],
-              z_parities: Sequence[int], zl_sign: Callable[[int], int]) -> StandardModel:
+              z_parities: Sequence[int], zl_sign: Callable[[int], int],
+              conditions: Report | None) -> StandardModel:
     base, ell = ext.base, ext.ell
     n, m = base.space.dim, ell.dim
     beta = derive_beta(ext)
@@ -476,15 +489,16 @@ def _assemble(ext: ExtensionData, z_labels: Sequence[str],
     model_form = SuperForm(space, tuple(tuple(r) for r in gram), base.form.parity)
     algebra = LieSuperAlgebra(space, tuple(tuple(row) for row in c))
     return StandardModel(QuasiFrobenius(algebra, model_form),
-                         tuple(z_labels), base.space.labels, ell.labels, ext)
+                         tuple(z_labels), base.space.labels, ell.labels, ext,
+                         conditions)
 
 
 def build_orthosymplectic(ext: ExtensionData, force: bool = False) -> StandardModel:
     """Assemble l* + a + l with the even block form.
 
-    Unless forced, the seven conditions must pass and the result is fully
-    validated (the force path exists so tests can exhibit the converse
-    direction of the characterization).
+    Unless forced, the seven conditions must pass, their report is kept on
+    the model, and the result is fully validated (the force path exists so
+    tests can exhibit the converse direction of the characterization).
     """
     if ext.base.form.parity != EVEN:
         raise ValueError("orthosymplectic model needs an even base form")
@@ -520,11 +534,12 @@ def _finish_build(ext, z_labels, z_parities, zl_sign, force):
     shapes = ext.validate_shapes()
     if not shapes.ok and not force:
         raise ConditionFailure(shapes)
+    report = None
     if not force:
         report = check_conditions(ext)
         if not report.ok:
             raise ConditionFailure(report)
-    model = _assemble(ext, z_labels, z_parities, zl_sign)
+    model = _assemble(ext, z_labels, z_parities, zl_sign, report)
     if not force:
         validation = model.qf.validate()
         if not validation.ok:

@@ -84,3 +84,20 @@ def random_even_tau(rng, data):
         rows.append(tuple(row))
     return TauMap(data.ell, data.base,
                   GradedLinearMap(data.ell, data.base.space, tuple(rows)))
+
+
+def tower_level(rng, qf, prefix):
+    """Extension data over ``qf`` by l = (1|1): a random even tau applied to
+    zero data (valid by construction), redrawn until xi is nonzero."""
+    from sfx.doubleext import ExtensionData, tau_transform
+    from sfx.superlinalg import SuperSpace
+    ell = SuperSpace((f"{prefix}1", f"{prefix}2"), (EVEN, ODD))
+    n, m = qf.space.dim, ell.dim
+    zero = ExtensionData(
+        qf, ell, tuple(GradedLinearMap.zero(qf.space, qf.space) for _ in range(m)),
+        tuple(tuple(zero_vector(m) for _ in range(n)) for _ in range(m)),
+        tuple(tuple(zero_vector(m) for _ in range(m)) for _ in range(m)))
+    while True:
+        data = tau_transform(zero, random_even_tau(rng, zero))
+        if any(c != 0 for op in data.xi for row in op.rows for c in row):
+            return data

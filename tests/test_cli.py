@@ -94,6 +94,11 @@ def test_extend_condition_failure_names_the_equation(tmp_path, capsys):
     code, out = run(capsys, "extend", str(path))
     assert code == 1
     assert "qzz4" in out and "FAIL" in out
+    code, payload = run_json(capsys, "extend", str(path))
+    assert code == 1
+    assert payload["ok"] is False and "qzz4" in payload["error"]
+    assert payload["conditions"]["ok"] is False
+    assert "table" not in payload
 
 
 def test_reduce_by_the_dual_block_recovers_the_base(tmp_path, capsys):
@@ -189,3 +194,53 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["reduce", "somefile"])  # neither --ideal nor --balanced
     assert err.value.code == 2
+
+
+# -- malformed documents: defined exit codes, no traceback ---------------------
+
+def _corpus_doc(name):
+    return json.loads(corpus_path(name).read_text(encoding="utf-8"))
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    return str(path)
+
+
+def test_degenerate_base_is_a_precondition_error(tmp_path, capsys):
+    alg = _corpus_doc("c3a.alg")
+    gram = alg["form"]["gram"]
+    for i in range(len(gram)):
+        gram[0][i] = gram[i][0] = gram[1][i] = gram[i][1] = "0"
+    path = _write(tmp_path, "degenerate.ext.json", dict(_corpus_doc("c3a.ext"), base=alg))
+    for command in ("validate", "extend"):
+        code, payload = run_json(capsys, command, path)
+        assert code == 2 and not payload["ok"]
+        assert "degenerate" in payload["error"]
+    code, _ = run_json(capsys, "tau", path, "--tau", "e2(x)L1*")
+    assert code == 2
+
+
+def test_gram_with_a_missing_row_is_a_parse_error(tmp_path, capsys):
+    alg = _corpus_doc("c3a.alg")
+    alg["form"]["gram"] = alg["form"]["gram"][:-1]
+    code, payload = run_json(capsys, "validate", _write(tmp_path, "short.json", alg))
+    assert code == 3
+    assert "dim x dim" in payload["error"]
+
+
+def test_gram_entry_dividing_by_zero_is_a_parse_error(tmp_path, capsys):
+    alg = _corpus_doc("c3a.alg")
+    alg["form"]["gram"][0][1] = "1/0"
+    code, payload = run_json(capsys, "validate", _write(tmp_path, "zerodiv.json", alg))
+    assert code == 3
+    assert "Gram" in payload["error"]
+
+
+def test_reference_entry_without_right_is_a_parse_error(tmp_path, capsys):
+    ext = dict(_corpus_doc("c3a.ext"), base=_corpus_doc("c3a.alg"))
+    del ext["reference"]["table"][0]["right"]
+    code, payload = run_json(capsys, "extend", _write(tmp_path, "noright.ext.json", ext))
+    assert code == 3
+    assert "reference" in payload["error"]
